@@ -13,6 +13,11 @@ use std::process::Command;
 /// the meaning of shared keys changes.
 pub const SCHEMA_VERSION: u32 = 1;
 
+/// The flags rustc compiled this crate with, space-separated, as cargo
+/// passed them (`RUSTFLAGS` or the `build.rustflags` of
+/// `.cargo/config.toml`); recorded by `build.rs`.
+const COMPILED_RUSTFLAGS: &str = env!("PUF_BENCH_RUSTFLAGS");
+
 /// The environment fingerprint stamped into benchmark JSON outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaHeader {
@@ -22,21 +27,23 @@ pub struct SchemaHeader {
     pub git_commit: String,
     /// Hardware threads available to the process.
     pub threads: usize,
-    /// The `-C target-cpu=…` value from `RUSTFLAGS` (`default` when unset).
+    /// The `-C target-cpu=…` value this crate was compiled with (`default`
+    /// when the build set none).
     pub target_cpu: String,
 }
 
 impl SchemaHeader {
     /// Captures the current environment: git commit via `git rev-parse`,
     /// thread count via `std::thread::available_parallelism`, target CPU
-    /// parsed out of `RUSTFLAGS`. Never fails — unknown values degrade to
-    /// placeholder strings so output emission cannot be blocked.
+    /// parsed out of the flags the crate was compiled with. Never fails —
+    /// unknown values degrade to placeholder strings so output emission
+    /// cannot be blocked.
     pub fn capture() -> Self {
         Self {
             version: SCHEMA_VERSION,
             git_commit: git_short_commit().unwrap_or_else(|| "unknown".to_string()),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            target_cpu: rustflags_target_cpu(&std::env::var("RUSTFLAGS").unwrap_or_default()),
+            target_cpu: rustflags_target_cpu(COMPILED_RUSTFLAGS),
         }
     }
 
@@ -95,7 +102,7 @@ fn git_short_commit() -> Option<String> {
     }
 }
 
-/// Extracts the `target-cpu` value from a `RUSTFLAGS` string, accepting
+/// Extracts the `target-cpu` value from a rustflags string, accepting
 /// both `-Ctarget-cpu=x` and `-C target-cpu=x` spellings.
 fn rustflags_target_cpu(rustflags: &str) -> String {
     let mut tokens = rustflags.split_whitespace().peekable();
@@ -154,6 +161,18 @@ mod tests {
         assert_eq!(rustflags_target_cpu(""), "default");
         assert_eq!(rustflags_target_cpu("-Copt-level=3"), "default");
         assert_eq!(rustflags_target_cpu("-Ctarget-cpu="), "default");
+    }
+
+    #[test]
+    fn target_cpu_comes_from_the_compile_time_flags() {
+        // Whatever the environment says at run time, the header reports
+        // the flags the crate was built with.
+        assert_eq!(
+            SchemaHeader::capture().target_cpu,
+            rustflags_target_cpu(COMPILED_RUSTFLAGS)
+        );
+        // build.rs decoded cargo's unit-separated encoding into spaces.
+        assert!(!COMPILED_RUSTFLAGS.contains('\u{1f}'));
     }
 
     #[test]

@@ -208,10 +208,14 @@ fn get_state(r: &mut Reader<'_>) -> Result<ChipSessionState, DecodeError> {
     })
 }
 
+/// Writes `u32 len | storage-record-db` straight into `out`: the length is
+/// reserved, the database written behind it, then the length patched in.
 fn put_record(out: &mut Vec<u8>, record: &EnrolledChip) {
-    let db = storage::encode_record(record);
-    out.extend_from_slice(&(db.len() as u32).to_le_bytes());
-    out.extend_from_slice(&db);
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    storage::put_database(out, 1, std::iter::once(record));
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 fn get_record(r: &mut Reader<'_>) -> Result<EnrolledChip, DecodeError> {
@@ -296,6 +300,28 @@ fn get_event(r: &mut Reader<'_>) -> Result<DurableEvent, DecodeError> {
     Ok(event)
 }
 
+/// Merges `bits` into the ascending, deduplicated `pool` without
+/// re-sorting it: the batch is sorted and deduplicated on its own, entries
+/// the pool already holds are dropped, and the rest are merged in from the
+/// back.
+fn merge_into_pool(pool: &mut Vec<u128>, bits: &[u128]) {
+    let mut fresh = bits.to_vec();
+    fresh.sort_unstable();
+    fresh.dedup();
+    fresh.retain(|b| pool.binary_search(b).is_err());
+    let (mut i, mut j) = (pool.len(), fresh.len());
+    pool.resize(i + j, 0);
+    while j > 0 {
+        if i > 0 && pool[i - 1] > fresh[j - 1] {
+            pool[i + j - 1] = pool[i - 1];
+            i -= 1;
+        } else {
+            pool[i + j - 1] = fresh[j - 1];
+            j -= 1;
+        }
+    }
+}
+
 /// The durable subset of the service: full-fidelity enrollment records,
 /// per-chip session-ladder state and per-chip consumed challenge pools.
 /// Everything a crash must not lose; everything else (warm planes, event
@@ -340,10 +366,7 @@ impl DurableState {
                 state.consecutive_failures = 0;
             }
             DurableEvent::PoolConsume { chip_id, bits } => {
-                let pool = self.pools.entry(*chip_id).or_default();
-                pool.extend_from_slice(bits);
-                pool.sort_unstable();
-                pool.dedup();
+                merge_into_pool(self.pools.entry(*chip_id).or_default(), bits);
             }
             DurableEvent::StateSync { chip_id, state } => {
                 self.states.insert(*chip_id, *state);
@@ -626,14 +649,18 @@ impl DurableLog {
     pub fn append(&mut self, event: &DurableEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut payload = Vec::with_capacity(32);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        put_event(&mut payload, event);
+        // The frame is built in the WAL itself: reserve the header, write
+        // the payload behind it, then patch in its length and CRC.
+        let frame = self.wal.len();
         self.wal.extend_from_slice(WAL_MAGIC);
-        self.wal
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wal.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.wal.extend_from_slice(&payload);
+        self.wal.extend_from_slice(&[0; 8]);
+        self.wal.extend_from_slice(&seq.to_le_bytes());
+        put_event(&mut self.wal, event);
+        let payload = &self.wal[frame + FRAME_HEADER..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        self.wal[frame + 4..frame + 8].copy_from_slice(&len);
+        self.wal[frame + 8..frame + FRAME_HEADER].copy_from_slice(&crc);
         self.state.apply(event);
         self.wal_events += 1;
         puf_telemetry::counter!("protocol.durable.appends").inc();
@@ -839,6 +866,73 @@ mod tests {
             state.apply(e);
         }
         state
+    }
+
+    /// The snapshot encoder before records were written in place: each
+    /// record encoded to its own `Bytes` by [`storage::encode_record`], then
+    /// copied in behind its length. Kept as the byte oracle.
+    fn encode_snapshot_oracle(state: &DurableState, last_seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&last_seq.to_le_bytes());
+        out.extend_from_slice(&(state.records.len() as u32).to_le_bytes());
+        for record in state.records.values() {
+            put_record_oracle(&mut out, record);
+        }
+        out.extend_from_slice(&(state.states.len() as u32).to_le_bytes());
+        for (chip_id, s) in &state.states {
+            out.extend_from_slice(&chip_id.to_le_bytes());
+            put_state(&mut out, s);
+        }
+        out.extend_from_slice(&(state.pools.len() as u32).to_le_bytes());
+        for (chip_id, pool) in &state.pools {
+            out.extend_from_slice(&chip_id.to_le_bytes());
+            out.extend_from_slice(&(pool.len() as u32).to_le_bytes());
+            for bits in pool {
+                out.extend_from_slice(&bits.to_le_bytes());
+            }
+        }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn put_record_oracle(out: &mut Vec<u8>, record: &EnrolledChip) {
+        let db = storage::encode_record(record);
+        out.extend_from_slice(&(db.len() as u32).to_le_bytes());
+        out.extend_from_slice(&db);
+    }
+
+    /// The WAL append before frames were built in place: the payload in a
+    /// `Vec` of its own, then header and payload copied into the WAL.
+    fn append_frame_oracle(wal: &mut Vec<u8>, seq: u64, event: &DurableEvent) {
+        let mut payload = Vec::with_capacity(32);
+        payload.extend_from_slice(&seq.to_le_bytes());
+        match event {
+            DurableEvent::Enroll(record) | DurableEvent::Reenroll(record) => {
+                payload.push(event.tag());
+                put_record_oracle(&mut payload, record);
+            }
+            _ => put_event(&mut payload, event),
+        }
+        wal.extend_from_slice(WAL_MAGIC);
+        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wal.extend_from_slice(&crc32(&payload).to_le_bytes());
+        wal.extend_from_slice(&payload);
+    }
+
+    /// [`DurableState::apply`] with the pool account kept by re-sorting the
+    /// whole pool on every event, as before the sorted merge.
+    fn apply_oracle(state: &mut DurableState, event: &DurableEvent) {
+        if let DurableEvent::PoolConsume { chip_id, bits } = event {
+            let pool = state.pools.entry(*chip_id).or_default();
+            pool.extend_from_slice(bits);
+            pool.sort_unstable();
+            pool.dedup();
+        } else {
+            state.apply(event);
+        }
     }
 
     #[test]
@@ -1048,10 +1142,102 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::enrollment::EnrolledPuf;
+        use crate::threshold::{Betas, Thresholds};
         use proptest::prelude::*;
+        use puf_ml::LinearRegression;
+
+        /// A small synthetic record (no silicon): `seed` picks the shape
+        /// and every value.
+        fn synthetic_record(chip_id: u32, seed: u64) -> EnrolledChip {
+            let stages = 1 + (seed % 8) as usize;
+            let v = |k: u64| ((seed ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / 1e6;
+            let pufs = (0..1 + seed % 3)
+                .map(|p| EnrolledPuf {
+                    model: LinearRegression::from_theta(
+                        (0..=stages as u64).map(|k| v(p * 64 + k) - 4.0).collect(),
+                    ),
+                    thresholds: Thresholds::new(-v(p + 100), v(p + 200)),
+                    betas: Betas::new(0.5 + v(p + 300), 0.5 + v(p + 400)),
+                })
+                .collect();
+            EnrolledChip {
+                chip_id,
+                stages,
+                pufs,
+            }
+        }
+
+        /// Any event on four chips. Pool patterns come from 48 values, so
+        /// batches repeat entries within themselves and against the pool.
+        fn arb_event() -> impl Strategy<Value = DurableEvent> {
+            (
+                0u8..6,
+                0u32..4,
+                proptest::collection::vec(0u64..48, 0..12),
+                any::<u64>(),
+            )
+                .prop_map(|(tag, chip_id, raw, seed)| match tag {
+                    0 => DurableEvent::Enroll(synthetic_record(chip_id, seed)),
+                    1 => DurableEvent::Reenroll(synthetic_record(chip_id, seed)),
+                    2 => DurableEvent::Lockout { chip_id },
+                    3 => DurableEvent::Reinstate { chip_id },
+                    4 => DurableEvent::PoolConsume {
+                        chip_id,
+                        bits: raw.iter().map(|&b| u128::from(b).rotate_right(7)).collect(),
+                    },
+                    _ => DurableEvent::StateSync {
+                        chip_id,
+                        state: ChipSessionState {
+                            consecutive_failures: (seed % 5) as u32,
+                            locked_out: seed & 8 != 0,
+                            needs_reenrollment: seed & 16 != 0,
+                            sessions: seed >> 40,
+                            clean_accepts: seed >> 50,
+                        },
+                    },
+                })
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Byte identity of the in-place paths: the WAL, every snapshot
+            /// and the materialized state equal what the two-step oracles
+            /// build from the same events, and so does recovery.
+            #[test]
+            fn prop_in_place_paths_match_the_two_step_oracles(
+                events in proptest::collection::vec(arb_event(), 0..48),
+                every_ix in 0usize..3,
+            ) {
+                let snapshot_every = [1u64, 5, u64::MAX][every_ix];
+                let mut log = DurableLog::new(snapshot_every);
+                let mut oracle = DurableState::new();
+                let mut snapshot = encode_snapshot_oracle(&oracle, 0);
+                let mut wal = Vec::new();
+                let mut wal_events = 0;
+                for (seq, event) in (1u64..).zip(&events) {
+                    log.append(event);
+                    append_frame_oracle(&mut wal, seq, event);
+                    apply_oracle(&mut oracle, event);
+                    wal_events += 1;
+                    if wal_events >= snapshot_every {
+                        snapshot = encode_snapshot_oracle(&oracle, seq);
+                        wal.clear();
+                        wal_events = 0;
+                    }
+                    prop_assert_eq!(log.state(), &oracle);
+                }
+                prop_assert_eq!(log.wal_bytes(), &wal[..]);
+                prop_assert_eq!(log.snapshot_bytes(), &snapshot[..]);
+                let (recovered, report) = recover(&snapshot, &wal);
+                prop_assert!(report.is_clean());
+                prop_assert_eq!(recovered.state(), &oracle);
+                prop_assert_eq!(
+                    recovered.snapshot_bytes(),
+                    &encode_snapshot_oracle(&oracle, events.len() as u64)[..]
+                );
+            }
 
             /// Satellite: the crash-point sweep. For ANY byte offset cut of
             /// the WAL, recovery equals replaying exactly the events whose

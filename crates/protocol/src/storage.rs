@@ -20,12 +20,16 @@
 //! The trailing CRC-32 (IEEE polynomial, computed over every preceding
 //! byte) turns silent bit-rot into a typed [`DecodeError::ChecksumMismatch`]
 //! instead of a best-effort read of garbage floats; it is what the durable
-//! log ([`crate::durable`]) builds its torn-write detection on.
+//! log ([`crate::durable`]) builds its torn-write detection on. [`crc32`]
+//! is a slicing-by-16 table kernel (sixteen bytes per step, bytewise tail),
+//! and `put_database` writes records straight into the caller's buffer,
+//! so a durable snapshot or WAL frame embeds a database without an
+//! intermediate copy.
 
 use crate::enrollment::{EnrolledChip, EnrolledPuf};
 use crate::server::Server;
 use crate::threshold::{Betas, Thresholds};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use puf_ml::LinearRegression;
 use std::error::Error as StdError;
 use std::fmt;
@@ -33,34 +37,72 @@ use std::fmt;
 const MAGIC: &[u8; 4] = b"XPUF";
 const VERSION: u16 = 2;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
-///
-/// Hand-rolled table-driven implementation so the codec stays
-/// dependency-free; shared with the write-ahead log in [`crate::durable`].
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic bytewise table, and `CRC_TABLES[k][b]` is the CRC contribution of
+/// byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
+        k += 1;
     }
-    const TABLE: [u32; 256] = table();
+    tables
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
+///
+/// Hand-rolled slicing-by-16: each 16-byte block costs sixteen independent
+/// table loads instead of a chain of sixteen dependent ones, and the tail
+/// runs the bytewise loop. Safe, portable and dependency-free; shared with
+/// the write-ahead log in [`crate::durable`].
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -135,7 +177,7 @@ fn need(buf: &impl Buf, bytes: usize, what: &'static str) -> Result<(), DecodeEr
     Ok(())
 }
 
-fn put_record(out: &mut BytesMut, record: &EnrolledChip) {
+fn put_record(out: &mut Vec<u8>, record: &EnrolledChip) {
     out.put_u32_le(record.chip_id);
     out.put_u16_le(record.stages as u16);
     out.put_u16_le(record.pufs.len() as u16);
@@ -152,7 +194,7 @@ fn put_record(out: &mut BytesMut, record: &EnrolledChip) {
     }
 }
 
-fn get_record(buf: &mut Bytes) -> Result<EnrolledChip, DecodeError> {
+fn get_record(buf: &mut &[u8]) -> Result<EnrolledChip, DecodeError> {
     need(buf, 4 + 2 + 2, "record header")?;
     let chip_id = buf.get_u32_le();
     let stages = buf.get_u16_le() as usize;
@@ -209,35 +251,41 @@ fn get_record(buf: &mut Bytes) -> Result<EnrolledChip, DecodeError> {
     })
 }
 
-fn seal(mut out: BytesMut) -> Bytes {
-    let crc = crc32(out.as_ref());
+/// Appends a whole `database` holding `count` records to `out`, CRC
+/// trailer included, writing every record straight into `out`. The one
+/// record encoder: [`encode_record`], [`encode_server`] and the durable log
+/// ([`crate::durable`]) all call it.
+pub(crate) fn put_database<'a>(
+    out: &mut Vec<u8>,
+    count: usize,
+    records: impl Iterator<Item = &'a EnrolledChip>,
+) {
+    let start = out.len();
+    out.put_slice(MAGIC);
+    out.put_u16_le(VERSION);
+    out.put_u32_le(count as u32);
+    for record in records {
+        put_record(out, record);
+    }
+    let crc = crc32(&out[start..]);
     out.put_u32_le(crc);
-    out.freeze()
 }
 
 /// Encodes one enrollment record.
 pub fn encode_record(record: &EnrolledChip) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + record.pufs.len() * (record.stages + 1) * 8);
-    out.put_slice(MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u32_le(1);
-    put_record(&mut out, record);
-    seal(out)
+    let mut out = Vec::with_capacity(64 + record.pufs.len() * (record.stages + 1) * 8);
+    put_database(&mut out, 1, std::iter::once(record));
+    Bytes::from(out)
 }
 
 /// Encodes a whole server database (records in ascending chip-id order, so
 /// encoding is deterministic).
 pub fn encode_server(server: &Server) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_slice(MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u32_le(server.len() as u32);
+    let mut out = Vec::new();
     // Server::records iterates in ascending chip-id order, which is what
     // makes this encoding byte-deterministic.
-    for record in server.records() {
-        put_record(&mut out, record);
-    }
-    seal(out)
+    put_database(&mut out, server.len(), server.records());
+    Bytes::from(out)
 }
 
 /// Decodes a database into its enrollment records.
@@ -261,7 +309,7 @@ pub fn decode_records(bytes: &[u8]) -> Result<Vec<EnrolledChip>, DecodeError> {
     if stored != computed {
         return Err(DecodeError::ChecksumMismatch { stored, computed });
     }
-    let mut buf = Bytes::copy_from_slice(payload);
+    let mut buf = payload;
     need(&buf, 4 + 2 + 4, "header")?;
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
@@ -323,6 +371,72 @@ mod tests {
         let len = bytes.len();
         let crc = crc32(&bytes[..len - 4]);
         bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Bit-at-a-time CRC-32: the definition the slicing-by-16 kernel must
+    /// reproduce, with no table at all.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The two-step database encoder that the in-place writer replaced:
+    /// every field into a `BytesMut`, the bitwise reference CRC appended,
+    /// then frozen into `Bytes`. Kept as the byte oracle for
+    /// [`put_database`].
+    fn encode_database_oracle(records: &[&EnrolledChip]) -> Bytes {
+        let mut out = bytes::BytesMut::new();
+        out.put_slice(MAGIC);
+        out.put_u16_le(VERSION);
+        out.put_u32_le(records.len() as u32);
+        for record in records {
+            out.put_u32_le(record.chip_id);
+            out.put_u16_le(record.stages as u16);
+            out.put_u16_le(record.pufs.len() as u16);
+            for puf in &record.pufs {
+                out.put_f64_le(puf.thresholds.thr0);
+                out.put_f64_le(puf.thresholds.thr1);
+                out.put_f64_le(puf.betas.beta0);
+                out.put_f64_le(puf.betas.beta1);
+                let theta = puf.model.theta();
+                out.put_u16_le(theta.len() as u16);
+                for &t in theta {
+                    out.put_f64_le(t);
+                }
+            }
+        }
+        let crc = crc32_reference(out.as_ref());
+        out.put_u32_le(crc);
+        out.freeze()
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_offset() {
+        // Lengths 0..=300 cover every tail length of the 16-byte blocks
+        // many times over; start offsets 0..16 every slice alignment.
+        let data: Vec<u8> = (0..316u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "start {start}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -517,6 +631,29 @@ mod tests {
                 let bytes = encode_server(&server);
                 let restored = decode_server(&bytes).unwrap();
                 prop_assert_eq!(encode_server(&restored), bytes);
+            }
+
+            #[test]
+            fn prop_crc32_matches_the_bitwise_reference(
+                data in proptest::collection::vec(any::<u8>(), 0..4096),
+                start in 0usize..16,
+            ) {
+                let slice = &data[start.min(data.len())..];
+                prop_assert_eq!(crc32(slice), crc32_reference(slice));
+            }
+
+            #[test]
+            fn prop_in_place_encoders_match_the_two_step_oracle(
+                records in proptest::collection::vec((any::<u32>(), arb_record()), 0..4)
+            ) {
+                let mut server = Server::new();
+                for (chip_id, mut record) in records {
+                    record.chip_id = chip_id;
+                    prop_assert_eq!(encode_record(&record), encode_database_oracle(&[&record]));
+                    server.register(record);
+                }
+                let all: Vec<&EnrolledChip> = server.records().collect();
+                prop_assert_eq!(encode_server(&server), encode_database_oracle(&all));
             }
 
             #[test]

@@ -29,6 +29,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's tests, not only the root package's)"
+cargo test --workspace -q
+
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
 
