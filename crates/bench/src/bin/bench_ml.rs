@@ -11,8 +11,10 @@
 //! * `fused_mt` — the same path over the deterministic chunked reduction
 //!   with auto-detected workers (bit-identical gradient, checked here).
 //!
-//! Also re-times the fused enrollment normal equations (`linreg::fit`)
-//! against the two-pass `gram_ridge` + `t_matvec` baseline.
+//! Also re-times the dense fused normal equations
+//! (`linalg::normal_equations`, the oracle of the enrollment fit's
+//! sign-plane path) against the two-pass `gram_ridge` + `t_matvec`
+//! baseline.
 //!
 //! Run: `cargo run -p puf-bench --release --bin bench_ml`
 //! (`PUF_BENCH_CRPS=N` overrides the dataset size, `PUF_THREADS=N` the

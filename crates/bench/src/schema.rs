@@ -4,14 +4,14 @@
 //! Every JSON emitter stamps the same `"schema"` object as its first key,
 //! so `cargo xtask bench-diff` can (a) skip metadata when flattening
 //! metrics and (b) warn when a comparison crosses environments — a delta
-//! measured against a baseline from a different thread count or
-//! `target-cpu` is a provenance note, not a regression.
+//! measured against a baseline from a different thread count,
+//! `target-cpu` or bit-slice lane is a provenance note, not a regression.
 
 use std::process::Command;
 
 /// Version of the benchmark-output schema. Bump when the header shape or
-/// the meaning of shared keys changes.
-pub const SCHEMA_VERSION: u32 = 1;
+/// the meaning of shared keys changes (2: the `lane` key).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The flags rustc compiled this crate with, space-separated, as cargo
 /// passed them (`RUSTFLAGS` or the `build.rustflags` of
@@ -30,12 +30,17 @@ pub struct SchemaHeader {
     /// The `-C target-cpu=…` value this crate was compiled with (`default`
     /// when the build set none).
     pub target_cpu: String,
+    /// The bit-slice SIMD lane the un-suffixed kernels dispatch to on this
+    /// host ([`puf_core::bitslice::active_lane`]): it sets the speed of
+    /// every batched evaluation, enrollment's predictions included.
+    pub lane: String,
 }
 
 impl SchemaHeader {
     /// Captures the current environment: git commit via `git rev-parse`,
     /// thread count via `std::thread::available_parallelism`, target CPU
-    /// parsed out of the flags the crate was compiled with. Never fails —
+    /// parsed out of the flags the crate was compiled with, the active
+    /// bit-slice lane from runtime detection. Never fails —
     /// unknown values degrade to placeholder strings so output emission
     /// cannot be blocked.
     pub fn capture() -> Self {
@@ -44,6 +49,7 @@ impl SchemaHeader {
             git_commit: git_short_commit().unwrap_or_else(|| "unknown".to_string()),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             target_cpu: rustflags_target_cpu(COMPILED_RUSTFLAGS),
+            lane: puf_core::bitslice::active_lane().name().to_string(),
         }
     }
 
@@ -53,20 +59,22 @@ impl SchemaHeader {
     ///
     /// ```text
     ///   "schema": {
-    ///     "version": 1,
+    ///     "version": 2,
     ///     "git_commit": "0e227c9",
     ///     "threads": 8,
-    ///     "target_cpu": "native"
+    ///     "target_cpu": "native",
+    ///     "lane": "avx512"
     ///   }
     /// ```
     pub fn to_json_member(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
         format!(
-            "{pad}\"schema\": {{\n{pad}  \"version\": {},\n{pad}  \"git_commit\": \"{}\",\n{pad}  \"threads\": {},\n{pad}  \"target_cpu\": \"{}\"\n{pad}}}",
+            "{pad}\"schema\": {{\n{pad}  \"version\": {},\n{pad}  \"git_commit\": \"{}\",\n{pad}  \"threads\": {},\n{pad}  \"target_cpu\": \"{}\",\n{pad}  \"lane\": \"{}\"\n{pad}}}",
             self.version,
             escape(&self.git_commit),
             self.threads,
             escape(&self.target_cpu),
+            escape(&self.lane),
         )
     }
 }
@@ -134,19 +142,21 @@ mod tests {
         assert!(!h.git_commit.is_empty());
         assert!(h.threads >= 1);
         assert!(!h.target_cpu.is_empty());
+        assert_eq!(h.lane, puf_core::bitslice::active_lane().name());
     }
 
     #[test]
     fn json_member_shape_is_stable() {
         let h = SchemaHeader {
-            version: 1,
+            version: 2,
             git_commit: "abc1234".to_string(),
             threads: 8,
             target_cpu: "native".to_string(),
+            lane: "avx512".to_string(),
         };
         assert_eq!(
             h.to_json_member(2),
-            "  \"schema\": {\n    \"version\": 1,\n    \"git_commit\": \"abc1234\",\n    \"threads\": 8,\n    \"target_cpu\": \"native\"\n  }"
+            "  \"schema\": {\n    \"version\": 2,\n    \"git_commit\": \"abc1234\",\n    \"threads\": 8,\n    \"target_cpu\": \"native\",\n    \"lane\": \"avx512\"\n  }"
         );
     }
 

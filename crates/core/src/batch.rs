@@ -52,6 +52,7 @@ use crate::rngx;
 use crate::xor::XorPuf;
 use crate::{PufError, MAX_STAGES};
 use rand::Rng;
+use std::ops::Range;
 
 /// Rows per interleave group — one sign-plane `u32` covers one group, and
 /// the expanded scratch gives the kernel [`LANES`] independent per-row
@@ -401,6 +402,63 @@ impl FeatureMatrix {
             out_block.copy_from_slice(&deltas[..out_block.len()]);
         }
     }
+
+    /// Pairwise sign agreement over the whole batch: entry
+    /// `a * width() + b` is the number of rows whose features `a` and `b`
+    /// carry the same sign. Symmetric, with `len()` on the diagonal.
+    ///
+    /// Every `φₐ·φ_b` product is `±1`, so `2·agree − len()` is entry
+    /// `(a, b)` of the Gram matrix `ΦᵀΦ` — an exact integer computed from
+    /// one XOR-popcount per pair per 64-row plane word instead of `len()`
+    /// multiply-adds.
+    pub fn sign_agreements(&self) -> Vec<u64> {
+        let width = self.width;
+        // Phantom rows past the end of the batch are zero in every plane,
+        // so they never disagree: subtracting every disagreement from the
+        // row count is exact.
+        let mut agree = vec![self.len() as u64; width * width];
+        let mut words = vec![0u64; width];
+        for block in 0..self.len().div_ceil(crate::bitslice::WORD_ROWS) {
+            self.plane_words_into(block, &mut words);
+            for (a, &wa) in words.iter().enumerate() {
+                let row = &mut agree[a * width..(a + 1) * width];
+                for (n, &wb) in row[a + 1..].iter_mut().zip(&words[a + 1..]) {
+                    *n -= u64::from((wa ^ wb).count_ones());
+                }
+            }
+        }
+        for a in 0..width {
+            for b in (a + 1)..width {
+                agree[b * width + a] = agree[a * width + b];
+            }
+        }
+        agree
+    }
+
+    /// Signed row sums in row order: `out[j] = Σ φⱼ(cᵢ)·y[i]` over `rows`,
+    /// each sum starting from `0.0` and adding rows in ascending order —
+    /// the summation order of a dense `Xᵀy` pass over those rows.
+    /// `φⱼ·y` is `±y`, an exact sign flip, so every partial sum is
+    /// bit-identical to the dense one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() != len()`, `out.len() != width()` or `rows`
+    /// reaches past the batch.
+    pub fn signed_row_sums_into(&self, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
+        assert_eq!(y.len(), self.len(), "target length mismatch");
+        assert_eq!(out.len(), self.width, "output width mismatch");
+        assert!(rows.end <= self.len(), "row range out of bounds");
+        out.fill(0.0);
+        for i in rows {
+            let (g, r) = (i / LANES, i % LANES);
+            let (pos, neg) = (y[i], -y[i]);
+            let planes = &self.planes[g * self.width..(g + 1) * self.width];
+            for (o, &m) in out.iter_mut().zip(planes) {
+                *o += if (m >> r) & 1 == 1 { pos } else { neg };
+            }
+        }
+    }
 }
 
 impl ArbiterPuf {
@@ -735,6 +793,45 @@ mod tests {
             .map(|c| xor.eval_noisy(c, sigma, &mut rng))
             .collect();
         assert_eq!(batch_a, scalar, "batch must replay the scalar noise stream");
+    }
+
+    #[test]
+    fn sign_agreements_count_equal_signs_per_feature_pair() {
+        for (count, stages) in [(0, 4), (1, 1), (31, 7), (33, 32), (200, 64), (97, 128)] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let cs: Vec<Challenge> = (0..count)
+                .map(|_| Challenge::random(stages, &mut rng))
+                .collect();
+            let fm = FeatureMatrix::new(stages, &cs).unwrap();
+            let w = fm.width();
+            let rows: Vec<Vec<f64>> = (0..count).map(|i| fm.row(i)).collect();
+            let agree = fm.sign_agreements();
+            for a in 0..w {
+                for b in 0..w {
+                    let want = rows.iter().filter(|r| r[a] == r[b]).count() as u64;
+                    assert_eq!(agree[a * w + b], want, "count {count}, ({a}, {b})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signed_row_sums_follow_the_dense_row_order() {
+        let (_, _, fm) = random_batch(10, 1, 32, 150);
+        let mut rng = StdRng::seed_from_u64(11);
+        let y: Vec<f64> = (0..150).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut out = vec![f64::NAN; fm.width()];
+        for range in [0..0, 0..1, 0..150, 31..97, 64..65, 149..150] {
+            fm.signed_row_sums_into(&y, range.clone(), &mut out);
+            let mut want = vec![0.0f64; fm.width()];
+            for i in range.clone() {
+                for (w, x) in want.iter_mut().zip(fm.row(i)) {
+                    *w += x * y[i];
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "rows {range:?}");
+        }
     }
 
     #[test]

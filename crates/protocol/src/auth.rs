@@ -7,8 +7,8 @@
 //! Hamming-distance-threshold policies, which improves security for free.
 
 use crate::ProtocolError;
-use puf_core::{Challenge, Condition};
-use puf_silicon::Chip;
+use puf_core::{Challenge, Condition, FeatureMatrix};
+use puf_silicon::{Chip, SiliconError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -199,15 +199,42 @@ impl Responder for ChipResponder<'_> {
             .expect("chip rejected an authentication challenge")
     }
 
+    /// Answers the whole call through [`Chip::eval_xor_batch`]: one
+    /// condition-adjusted PUF per member per call and bit-sliced deltas,
+    /// with the noise draws in the per-challenge order (challenge-major,
+    /// member-minor) — so the bits, the RNG stream and the errors are
+    /// those of calling [`Chip::eval_xor_once`] per challenge. A
+    /// wrong-stage challenge fails the call after the challenges before it
+    /// drew their noise, as the per-challenge loop would.
+    ///
+    /// Telemetry: one `core.eval` span sample per non-empty call (not per
+    /// challenge); `core.eval.count` still counts challenges.
     fn try_respond(&mut self, challenges: &[Challenge]) -> Result<Vec<bool>, ProtocolError> {
-        challenges
+        if challenges.is_empty() {
+            return Ok(Vec::new());
+        }
+        let _span = puf_telemetry::span!("core.eval");
+        let stages = self.chip.stages();
+        let valid = challenges
             .iter()
-            .map(|c| {
-                self.chip
-                    .eval_xor_once(self.n, c, self.condition, &mut self.rng)
-                    .map_err(ProtocolError::from)
+            .position(|c| c.stages() != stages)
+            .unwrap_or(challenges.len());
+        let mismatch = |actual| {
+            ProtocolError::Silicon(SiliconError::StageMismatch {
+                expected: stages,
+                actual,
             })
-            .collect()
+        };
+        // The prefix holds only chip-stage challenges, so this cannot fail.
+        let features =
+            FeatureMatrix::new(stages, &challenges[..valid]).map_err(|_| mismatch(stages))?;
+        let bits = self
+            .chip
+            .eval_xor_batch(self.n, &features, self.condition, &mut self.rng)?;
+        match challenges.get(valid) {
+            Some(bad) => Err(mismatch(bad.stages())),
+            None => Ok(bits),
+        }
     }
 }
 
@@ -427,6 +454,86 @@ mod tests {
             AuthPolicy::MaxHammingFraction(-0.1).validate(),
             Err(ProtocolError::InvalidPolicy { .. })
         ));
+    }
+
+    /// The per-challenge oracle: [`Chip::eval_xor_once`] in challenge
+    /// order on one RNG, stopping at the first error.
+    fn respond_per_challenge(
+        chip: &Chip,
+        n: usize,
+        cond: Condition,
+        challenges: &[Challenge],
+        rng: &mut StdRng,
+    ) -> Result<Vec<bool>, ProtocolError> {
+        challenges
+            .iter()
+            .map(|c| Ok(chip.eval_xor_once(n, c, cond, rng)?))
+            .collect()
+    }
+
+    #[test]
+    fn batched_chip_responder_replays_the_per_challenge_loop() {
+        use puf_core::challenge::random_challenges;
+        use puf_silicon::ChipConfig;
+        let mut rng = StdRng::seed_from_u64(40);
+        for years in [0.0, 4.0, 10.0] {
+            let mut chip = Chip::fabricate(1, &ChipConfig::paper_default(), &mut rng);
+            chip.set_age(years * 8_766.0);
+            let cs = random_challenges(chip.stages(), 70, &mut rng);
+            // Uneven splits, an empty call, and a call past one 64-row block.
+            let calls: [&[Challenge]; 5] = [&cs[..1], &[], &cs[1..3], &cs[3..3], &cs[3..]];
+            for n in 1..=chip.bank_size() {
+                for (k, cond) in Condition::paper_grid().into_iter().enumerate() {
+                    let seed = (n * 16 + k) as u64;
+                    let mut batched = ChipResponder::new(&chip, n, cond, seed);
+                    let mut oracle = StdRng::seed_from_u64(seed);
+                    for call in calls {
+                        assert_eq!(
+                            batched.try_respond(call),
+                            respond_per_challenge(&chip, n, cond, call, &mut oracle),
+                            "years {years}, n {n}, corner {k}, call of {}",
+                            call.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_chip_responder_keeps_errors_and_rng_position() {
+        use puf_core::challenge::random_challenges;
+        use puf_silicon::ChipConfig;
+        let mut rng = StdRng::seed_from_u64(41);
+        let chip = Chip::fabricate(2, &ChipConfig::small(), &mut rng);
+        let mut cs = random_challenges(chip.stages(), 6, &mut rng);
+        cs[3] = Challenge::zero(chip.stages() + 4);
+        let cond = Condition::paper_grid()[4];
+        for n in 0..=chip.bank_size() + 1 {
+            for call in [&cs[..], &cs[3..], &cs[4..]] {
+                let mut batched = ChipResponder::new(&chip, n, cond, 7);
+                let mut oracle = StdRng::seed_from_u64(7);
+                let got = batched.try_respond(call);
+                assert_eq!(
+                    got,
+                    respond_per_challenge(&chip, n, cond, call, &mut oracle)
+                );
+                if (1..=chip.bank_size()).contains(&n) && call.len() != 2 {
+                    assert_eq!(
+                        got,
+                        Err(ProtocolError::Silicon(SiliconError::StageMismatch {
+                            expected: chip.stages(),
+                            actual: chip.stages() + 4,
+                        }))
+                    );
+                }
+                // The noise stream continues where the oracle's does.
+                assert_eq!(
+                    batched.try_respond(&cs[..3]),
+                    respond_per_challenge(&chip, n, cond, &cs[..3], &mut oracle)
+                );
+            }
+        }
     }
 
     #[test]

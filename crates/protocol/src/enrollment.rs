@@ -17,6 +17,7 @@
 use crate::threshold::{fit_betas, Betas, StabilityClass, Thresholds};
 use crate::ProtocolError;
 use puf_core::batch::FeatureMatrix;
+use puf_core::bitslice;
 use puf_core::{challenge::random_challenges, Challenge, Condition};
 use puf_ml::LinearRegression;
 use puf_silicon::{counter, Chip, SiliconError, SoftResponse};
@@ -226,12 +227,12 @@ pub fn enroll_with_challenges<R: Rng + ?Sized>(
             .map(SoftResponse::value)
             .collect();
 
-        // 2. Linear regression on the soft responses.
-        let model = LinearRegression::fit_challenges(training, &soft_values, config.ridge)?;
+        // 2. Linear regression on the soft responses (exact normal
+        //    equations from the matrix's sign planes).
+        let model = LinearRegression::fit_features(&fm_train, &soft_values, config.ridge)?;
 
         // 3. Thresholds from predicted-vs-measured comparison.
-        let pairs: Vec<(f64, f64)> = model
-            .predict_batch(training)
+        let pairs: Vec<(f64, f64)> = predictions(&model, &fm_train)
             .into_iter()
             .zip(soft_values)
             .collect();
@@ -323,6 +324,15 @@ fn features_for(chip: &Chip, challenges: &[Challenge]) -> Result<FeatureMatrix, 
     })
 }
 
+/// The model's predicted soft responses over a feature matrix, through the
+/// bit-sliced kernel on the widest available lane — bit-identical to
+/// [`LinearRegression::predict_batch`] (same per-row summation order).
+fn predictions(model: &LinearRegression, features: &FeatureMatrix) -> Vec<f64> {
+    let mut out = vec![0.0; features.len()];
+    bitslice::deltas_into_with(features, model.theta(), bitslice::active_lane(), &mut out);
+    out
+}
+
 /// `(prediction, measured-stable-0, measured-stable-1)` per challenge —
 /// enrollment-only (individual-PUF) measurements, batched.
 ///
@@ -346,7 +356,7 @@ fn stability_triples<R: Rng + ?Sized>(
         .iter()
         .map(|&cond| chip.ground_truth_soft_batch(puf, features, cond))
         .collect::<Result<Vec<_>, _>>()?;
-    let preds = model.predict_batch(features.challenges());
+    let preds = predictions(model, features);
     let mut draws = 0u64;
     let mut triples = Vec::with_capacity(features.len());
     for (i, pred) in preds.into_iter().enumerate() {
@@ -372,7 +382,7 @@ mod tests {
     use super::*;
     use puf_silicon::{ChipConfig, SiliconError};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn enrolled_small(seed: u64) -> (Chip, EnrolledChip, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -391,6 +401,25 @@ mod tests {
             assert!(puf.thresholds.thr0 <= puf.thresholds.thr1);
             assert!(puf.betas.beta0 <= 0.99 + 1e-9);
             assert!(puf.betas.beta1 >= 1.01 - 1e-9);
+        }
+    }
+
+    #[test]
+    fn bitsliced_predictions_match_predict_batch() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for stages in [1, 16, 32, 64, 128] {
+            for rows in [1, 63, 64, 65, 5_000] {
+                let theta: Vec<f64> = (0..=stages).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let model = LinearRegression::from_theta(theta);
+                let cs = random_challenges(stages, rows, &mut rng);
+                let fm = FeatureMatrix::new(stages, &cs).unwrap();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(predictions(&model, &fm)),
+                    bits(model.predict_batch(&cs)),
+                    "stages {stages}, rows {rows}"
+                );
+            }
         }
     }
 

@@ -8,8 +8,9 @@
 //! with no recognisable direction are reported as info and never fail the
 //! gate. Schema headers (stamped by `puf_bench::SchemaHeader`) are skipped
 //! as metrics but cross-checked: a baseline captured on a different thread
-//! count or `target-cpu` produces a provenance warning, since such deltas
-//! measure the machine, not the code.
+//! count, `target-cpu` or bit-slice lane produces a provenance warning,
+//! since such deltas measure the machine, not the code. Headers older than
+//! schema version 2 carry no lane; it reads as `unknown`.
 
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
@@ -243,15 +244,20 @@ fn schema_warnings(file: &str, baseline: &Value, current: &Value, warnings: &mut
         ));
         return;
     };
-    for key in ["threads", "target_cpu", "version"] {
-        let bv = b.get(key);
-        let cv = c.get(key);
+    // Headers written before schema version 2 record no lane.
+    let unknown_lane = Value::String("unknown".to_string());
+    for key in ["threads", "target_cpu", "lane", "version"] {
+        let field = |header: &Value| match (header.get(key), key) {
+            (None, "lane") => Some(unknown_lane.clone()),
+            (v, _) => v.cloned(),
+        };
+        let (bv, cv) = (field(b), field(c));
         if bv != cv {
             warnings.push(format!(
                 "{file}: schema {key} differs (baseline {}, current {}) — deltas may reflect \
                  the environment, not the code",
-                render_scalar(bv),
-                render_scalar(cv),
+                render_scalar(bv.as_ref()),
+                render_scalar(cv.as_ref()),
             ));
         }
     }
@@ -459,6 +465,48 @@ mod tests {
             "{:?}",
             report.warnings
         );
+    }
+
+    #[test]
+    fn lane_change_is_a_provenance_note_and_missing_lane_reads_unknown() {
+        let with_lane = |lane: &str| {
+            BASE.replace(
+                "\"target_cpu\": \"native\"}",
+                &format!("\"target_cpu\": \"native\", \"lane\": \"{lane}\"}}"),
+            )
+        };
+        for (baseline, current, note) in [
+            (BASE.to_string(), BASE.to_string(), None),
+            (with_lane("avx512"), with_lane("avx512"), None),
+            (
+                BASE.to_string(),
+                with_lane("avx512"),
+                Some("baseline unknown, current avx512"),
+            ),
+            (
+                with_lane("avx2"),
+                with_lane("avx512"),
+                Some("baseline avx2, current avx512"),
+            ),
+        ] {
+            let (b, c) = scratch_pair("lane");
+            std::fs::write(b.join("BENCH_eval.json"), &baseline).unwrap();
+            std::fs::write(c.join("BENCH_eval.json"), &current).unwrap();
+            let report = diff_dirs(&b, &c, DEFAULT_THRESHOLD).unwrap();
+            assert!(!report.has_regressions());
+            let lane_notes: Vec<_> = report
+                .warnings
+                .iter()
+                .filter(|w| w.contains("schema lane"))
+                .collect();
+            match note {
+                None => assert!(lane_notes.is_empty(), "{lane_notes:?}"),
+                Some(note) => {
+                    assert_eq!(lane_notes.len(), 1, "{:?}", report.warnings);
+                    assert!(lane_notes[0].contains(note), "{}", lane_notes[0]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 # ROADMAP.md. Run from anywhere; everything executes at the repository root.
 #
 #   scripts/check.sh          the standard gate
-#   scripts/check.sh --full   additionally runs scripts/sanitize.sh
-#                             (miri/tsan/model-check over the unsafe region)
+#   scripts/check.sh --full   additionally reruns the workspace tests with
+#                             10x the default proptest cases and runs
+#                             scripts/sanitize.sh (miri/tsan/model-check
+#                             over the unsafe region)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +70,10 @@ echo "==> bench-diff observatory: committed baselines parse and self-compare cle
 cargo xtask bench-diff --baseline results --current results
 
 if [ "$full" -eq 1 ]; then
+    echo "==> --full: cargo test --workspace -q with 10x the default proptest cases"
+    # Tests with an explicit case count keep it; see vendor/proptest.
+    PROPTEST_CASES=640 cargo test --workspace -q
+
     echo "==> --full: scripts/sanitize.sh (miri / tsan / model check)"
     scripts/sanitize.sh
 fi
